@@ -1,5 +1,5 @@
-// E15 — online sessions: incremental repair vs full re-solve over
-// deterministic churn traces (Poisson and bursty on/off).
+// E15 — online sessions: a snapshot after every mutation of deterministic
+// churn traces (Poisson and bursty on/off), each a portfolio race.
 //
 // Thin wrapper over the shared perf harness (src/perf): runs the
 // registered "e15_session" case; all flags of perf::bench_main apply

@@ -3,6 +3,7 @@
 /// classes, one exclusive shared resource per class (paper, Section 1).
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,6 +41,13 @@ class Instance {
 
   /// Machine count m.
   int machines() const noexcept { return machines_; }
+  /// max(1, min(m, |C|)): the machines a schedule can keep busy. Jobs of one
+  /// class never overlap, so at most |C| machines ever run a job at once:
+  /// OPT and the Lemma-9 bound T are the same on m and on busy_machines()
+  /// machines, and per-machine tables need no more than busy_machines().
+  int busy_machines() const noexcept {
+    return std::max(1, std::min(machines_, num_classes()));
+  }
   /// Job count n.
   int num_jobs() const noexcept { return static_cast<int>(size_.size()); }
   /// Class count |C|.

@@ -97,6 +97,13 @@ int read_one(std::istream& in, Instance* out, std::string* error) {
       if (p < 1)
         return fail("class " + std::to_string(c) + ": job size " +
                     std::to_string(p) + " < 1");
+      if (p > kMaxLoad - instance.class_load(cls))
+        return fail("class " + std::to_string(c) +
+                    ": load exceeds the supported maximum " +
+                    std::to_string(kMaxLoad));
+      if (p > kMaxLoad - instance.total_load())
+        return fail("total load p(J) exceeds the supported maximum " +
+                    std::to_string(kMaxLoad));
       instance.add_job(cls, p);
     }
   }

@@ -40,9 +40,15 @@ constexpr Time floor_div(Time a, Time b) noexcept {
   return a / b;
 }
 
-/// a * b with a debug-mode overflow assertion; instance sizes and scales
-/// are small enough that release builds never overflow (documented limits:
-/// total scaled load < 2^62).
+/// Largest supported class load and total load p(J); instance_io rejects
+/// larger ones. The 2^7 headroom below int64 keeps the derived quantities
+/// representable: the census products 4a, 4L and 3T of algo/t_bound.cpp
+/// (T <= 2 p(J)) and the scaled makespans the portfolio cross-multiplies.
+inline constexpr Time kMaxLoad = Time{1} << 56;
+
+/// a * b with a debug-mode overflow assertion; instance loads (at most
+/// kMaxLoad) and scales are small enough that release builds never overflow
+/// (documented limits: total scaled load < 2^62).
 constexpr Time checked_mul(Time a, Time b) noexcept {
   assert(b == 0 || std::abs(a) <= std::numeric_limits<Time>::max() / std::abs(b));
   return a * b;

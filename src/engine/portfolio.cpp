@@ -58,6 +58,14 @@ std::vector<const Solver*> PortfolioSolver::candidates(
 }
 
 PortfolioResult PortfolioSolver::solve(const Instance& instance) const {
+  // Race on at most busy_machines() machines: the answer is the same, and a
+  // requested m far beyond |C| never sizes a per-machine table. The schedule
+  // stays valid on `instance`, whose m is larger.
+  if (instance.machines() > instance.busy_machines()) {
+    Instance normalized = instance;
+    normalized.set_machines(instance.busy_machines());
+    return solve(normalized);
+  }
   PortfolioResult result;
   result.t_bound =
       instance.num_jobs() > 0 ? three_halves_bound(instance) : 0;

@@ -2,43 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
-
-#include "util/rng.hpp"
 
 namespace msrs::engine {
-namespace {
-
-// Hash fold of the canonical-form key. Must mix exactly like the fold in
-// batch.cpp's canonical_form(): the differential harness asserts the
-// incrementally maintained form (including `key`) equals a from-scratch
-// canonical_form() after every mutation.
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  std::uint64_t s = h ^ (v + 0x9e3779b97f4a7c15ULL);
-  return splitmix64(s);
-}
-
-}  // namespace
-
-const char* snapshot_source_name(SnapshotSource source) {
-  switch (source) {
-    case SnapshotSource::kEmpty: return "empty";
-    case SnapshotSource::kRepair: return "repair";
-    case SnapshotSource::kResolve: return "resolve";
-  }
-  return "?";
-}
 
 SessionEngine::SessionEngine(int machines, const SolverRegistry& registry,
-                             SessionOptions options)
-    : machines_(machines),
-      registry_(&registry),
-      options_([&options] {
-        options.portfolio.threads = 1;  // a session lives on one shard
-        return options;
-      }()),
-      portfolio_(registry, options_.portfolio),
-      memo_(options_.cache_capacity) {
+                             PortfolioOptions portfolio)
+    : machines_(machines), portfolio_(registry, [&portfolio] {
+        portfolio.threads = 1;  // a session lives on one shard
+        return portfolio;
+      }()) {
   assert(machines_ >= 1);
 }
 
@@ -47,19 +19,12 @@ std::uint64_t SessionEngine::submit(std::string_view class_name, Time size) {
   const auto [it, inserted] =
       class_index_.try_emplace(std::string(class_name),
                                static_cast<int>(classes_.size()));
-  if (inserted) {
-    ClassRec rec;
-    rec.name = it->first;
-    classes_.push_back(std::move(rec));
-  }
+  if (inserted) classes_.emplace_back();
   const int cls = it->second;
   const std::uint64_t job = next_job_++;
   jobs_.push_back(JobRec{cls, size, true});
-  ClassRec& rec = classes_[static_cast<std::size_t>(cls)];
-  rec.alive.push_back(job);
-  rec.dirty = true;
+  classes_[static_cast<std::size_t>(cls)].push_back(job);
   ++alive_;
-  ++stats_.submits;
   dirty_ = true;
   return job;
 }
@@ -69,133 +34,47 @@ bool SessionEngine::cancel(std::uint64_t job) {
   JobRec& rec = jobs_[static_cast<std::size_t>(job)];
   if (!rec.alive) return false;
   rec.alive = false;
-  ClassRec& cls = classes_[static_cast<std::size_t>(rec.cls)];
-  cls.alive.erase(std::find(cls.alive.begin(), cls.alive.end(), job));
-  cls.dirty = true;
+  std::vector<std::uint64_t>& alive =
+      classes_[static_cast<std::size_t>(rec.cls)];
+  alive.erase(std::find(alive.begin(), alive.end(), job));
   --alive_;
-  ++stats_.cancels;
   dirty_ = true;
   return true;
 }
 
 std::size_t SessionEngine::classes_alive() const {
-  std::size_t count = 0;
-  for (const ClassRec& cls : classes_)
-    if (!cls.alive.empty()) ++count;
-  return count;
+  return static_cast<std::size_t>(std::count_if(
+      classes_.begin(), classes_.end(),
+      [](const std::vector<std::uint64_t>& alive) { return !alive.empty(); }));
 }
 
 const SessionSnapshot& SessionEngine::snapshot() {
-  ++stats_.snapshots;
-  if (dirty_) refresh();
-  return snapshot_;
-}
-
-void SessionEngine::refresh() {
+  if (!dirty_) return snapshot_;
   dirty_ = false;
 
-  // The delta: re-census only the classes a mutation touched — re-sort
-  // their alive jobs by (size desc, session id asc). Clean classes keep
-  // their cached order (the bulk of the work the repair path avoids).
-  for (ClassRec& cls : classes_) {
-    if (!cls.dirty) continue;
-    cls.dirty = false;
-    cls.by_size = cls.alive;
-    std::sort(cls.by_size.begin(), cls.by_size.end(),
-              [this](std::uint64_t a, std::uint64_t b) {
-                const Time pa = jobs_[static_cast<std::size_t>(a)].size;
-                const Time pb = jobs_[static_cast<std::size_t>(b)].size;
-                if (pa != pb) return pa > pb;
-                return a < b;
-              });
-  }
-
-  // Materialize the compact instance: classes in creation order (empty
-  // ones skipped), jobs in submission order within a class — so within a
-  // class, compact JobId order coincides with session id order, and the
-  // cached (size desc, session id asc) orders transfer verbatim to the
-  // canonical (size desc, JobId asc) orders canonical_form() computes.
   snapshot_.instance = Instance();
   snapshot_.instance.set_machines(machines_);
   snapshot_.jobs.clear();
-  std::vector<int> compact_cls;  // class index -> position among non-empty
-  compact_cls.assign(classes_.size(), -1);
-  std::unordered_map<std::uint64_t, JobId> compact_of;
-  compact_of.reserve(alive_);
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    const ClassRec& cls = classes_[c];
-    if (cls.alive.empty()) continue;
-    compact_cls[c] = static_cast<int>(snapshot_.instance.add_class());
-    for (const std::uint64_t job : cls.alive) {
-      const JobId id = snapshot_.instance.add_job(
-          compact_cls[c], jobs_[static_cast<std::size_t>(job)].size);
-      compact_of.emplace(job, id);
+  for (const std::vector<std::uint64_t>& alive : classes_) {
+    if (alive.empty()) continue;
+    const ClassId cls = snapshot_.instance.add_class();
+    for (const std::uint64_t job : alive) {
+      snapshot_.instance.add_job(cls,
+                                 jobs_[static_cast<std::size_t>(job)].size);
       snapshot_.jobs.push_back(job);
     }
   }
 
-  // Assemble the canonical form from the per-class cached orders. Class
-  // ranking and the tie-break (heavier shapes first, then lower class id)
-  // mirror canonical_form(): compact class ids preserve creation order, so
-  // a stable index tie-break reproduces its `by_shape` order.
-  CanonicalForm& form = snapshot_.form;
-  form.machines = machines_;
-  form.classes.clear();
-  form.order.clear();
-  std::vector<std::size_t> live;  // indices into classes_, creation order
-  for (std::size_t c = 0; c < classes_.size(); ++c)
-    if (!classes_[c].alive.empty()) live.push_back(c);
-  std::vector<std::size_t> rank(live.size());
-  std::iota(rank.begin(), rank.end(), std::size_t{0});
-  std::vector<std::vector<Time>> sizes(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const ClassRec& cls = classes_[live[i]];
-    sizes[i].reserve(cls.by_size.size());
-    for (const std::uint64_t job : cls.by_size)
-      sizes[i].push_back(jobs_[static_cast<std::size_t>(job)].size);
-  }
-  std::sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
-    if (sizes[a] != sizes[b]) return sizes[a] > sizes[b];
-    return a < b;
-  });
-  form.order.reserve(alive_);
-  form.classes.reserve(live.size());
-  std::uint64_t h = fold(0x6d737273ULL /* "msrs" */,
-                         static_cast<std::uint64_t>(form.machines));
-  for (const std::size_t i : rank) {
-    h = fold(h, 0xC1A55EEDULL);  // class separator
-    for (const Time p : sizes[i]) h = fold(h, static_cast<std::uint64_t>(p));
-    for (const std::uint64_t job : classes_[live[i]].by_size)
-      form.order.push_back(compact_of.at(job));
-    form.classes.push_back(std::move(sizes[i]));
-  }
-  form.key = h;
-
-  // Produce the portfolio-equivalent result: trivial when empty, remapped
-  // from the session memo when the shape was solved before, full re-solve
-  // otherwise (the fallback — and, with options().repair off, the oracle).
   if (alive_ == 0) {
     snapshot_.result = PortfolioResult{};
     snapshot_.result.schedule = Schedule(0, 1);
     snapshot_.result.solver = "empty";
     snapshot_.result.ratio_vs_bound = 1.0;
     snapshot_.result.valid = true;
-    snapshot_.source = SnapshotSource::kEmpty;
-    ++stats_.repairs;
-    return;
+  } else {
+    snapshot_.result = portfolio_.solve(snapshot_.instance);
   }
-  if (options_.repair) {
-    if (const ResultCache::Entry* entry = memo_.find(form)) {
-      snapshot_.result = remap_result(entry->first, entry->second, form);
-      snapshot_.source = SnapshotSource::kRepair;
-      ++stats_.repairs;
-      return;
-    }
-  }
-  snapshot_.result = portfolio_.solve(snapshot_.instance);
-  snapshot_.source = SnapshotSource::kResolve;
-  ++stats_.fallbacks;
-  if (options_.repair) memo_.insert(form, snapshot_.result);
+  return snapshot_;
 }
 
 }  // namespace msrs::engine

@@ -1,31 +1,15 @@
 /// \file
-/// SessionEngine: an online, mutable MSRS instance with an incremental
-/// repair path pinned to a full PortfolioSolver re-solve.
+/// SessionEngine: an online, mutable MSRS instance.
 ///
 /// A session owns a stream of submit/cancel mutations against one machine
 /// pool. Its observable contract is *portfolio equivalence*: after any
 /// mutation history, `snapshot()` returns exactly the result a fresh,
-/// deterministic PortfolioSolver race (engine/portfolio.hpp) would produce
-/// on the materialized instance. The repair path is every way to reach that
-/// result cheaper than re-solving from scratch:
-///
-///  - the canonical form (engine/batch.hpp) is maintained incrementally:
-///    only the census classes touched since the last snapshot — the delta —
-///    have their size vectors re-sorted; clean classes reuse their cached
-///    vectors (the census categories of algo/t_bound.hpp are functions of
-///    exactly these per-class sorted sizes);
-///  - previously solved shapes are memoized per session in a bounded LRU,
-///    so churn that revisits a shape (cancel undoing a submit, oscillating
-///    arrival processes) is answered by remapping the previous schedule
-///    through the canonical bijection instead of re-running the race.
-///
-/// Anything else falls back to the full portfolio re-solve — which doubles
-/// as the oracle: tests/test_session.cpp replays fuzzed churn traces and
-/// asserts after every mutation that the repair path's schedule is valid
-/// and makespan-equal to an independent full re-solve. Determinism: the
-/// snapshot (including its repair/resolve provenance) is a pure function of
-/// the mutation history, so serving-layer snapshot responses stay
-/// byte-identical across shard counts and transports.
+/// deterministic PortfolioSolver race (engine/portfolio.hpp) produces on the
+/// alive jobs — and it is computed that way: the first snapshot after a
+/// mutation materializes the alive jobs into an Instance and races the
+/// portfolio on it. The snapshot is a pure function of the mutation history,
+/// so serving-layer snapshot responses stay byte-identical across shard
+/// counts and transports.
 #pragma once
 
 #include <cstddef>
@@ -35,48 +19,17 @@
 #include <unordered_map>
 #include <vector>
 
-#include "engine/batch.hpp"
 #include "engine/portfolio.hpp"
 #include "engine/registry.hpp"
 
 namespace msrs::engine {
 
-/// Options of one SessionEngine.
+/// The portfolio options of a session, wrapped. Kept only so that callers
+/// still passing it (the serving benchmark under perfbench/) compile; new
+/// code passes PortfolioOptions directly.
 struct SessionOptions {
-  /// Portfolio configuration of the repair/fallback solves (`threads` is
-  /// forced to 1: a session lives on one serving shard).
   PortfolioOptions portfolio;
-  /// Session-local memo bound, in canonical shapes (0 = unbounded). The
-  /// memo is deliberately per-session — a shared cache would make repair
-  /// provenance depend on unrelated traffic and break snapshot determinism
-  /// across shard counts.
-  std::size_t cache_capacity = 256;
-  /// When false, every snapshot re-solves from scratch (oracle mode; used
-  /// by the differential tests and the E15 bench's resolve arm).
-  bool repair = true;
 };
-
-/// Lifetime counters of one session.
-struct SessionStats {
-  std::size_t submits = 0;    ///< submit() calls
-  std::size_t cancels = 0;    ///< successful cancel() calls
-  std::size_t snapshots = 0;  ///< snapshot() calls
-  /// Snapshots recomputed without running the portfolio: a memoized shape
-  /// remapped through the canonical bijection, or an empty instance.
-  std::size_t repairs = 0;
-  /// Snapshots recomputed by the full portfolio re-solve.
-  std::size_t fallbacks = 0;
-};
-
-/// How the current snapshot's result was produced.
-enum class SnapshotSource {
-  kEmpty,    ///< no alive jobs: trivial schedule, no solve
-  kRepair,   ///< memoized shape, remapped through the canonical bijection
-  kResolve,  ///< full portfolio re-solve (the fallback/oracle path)
-};
-
-/// Stable lowercase name of a snapshot source ("empty"/"repair"/"resolve").
-const char* snapshot_source_name(SnapshotSource source);
 
 /// The materialized state of a session at one point of its mutation
 /// history. References returned by SessionEngine::snapshot() stay valid
@@ -87,25 +40,25 @@ struct SessionSnapshot {
   Instance instance;
   /// Session job id of each compact JobId (`jobs[j]` names instance job j).
   std::vector<std::uint64_t> jobs;
-  /// Canonical form of `instance`, maintained incrementally (tests pin it
-  /// against engine::canonical_form built from scratch).
-  CanonicalForm form;
-  /// The portfolio-equivalent result (schedule over compact JobIds).
+  /// The portfolio result on `instance` (schedule over compact JobIds); a
+  /// trivial valid result named "empty" when no job is alive.
   PortfolioResult result;
-  /// Provenance of `result`.
-  SnapshotSource source = SnapshotSource::kEmpty;
 };
 
 /// One online scheduling session (see file comment for the contract).
 /// Not thread-safe: a session is owned by one serving shard.
 class SessionEngine {
  public:
-  /// A session over `machines` (>= 1) machines. The registry must outlive
-  /// the session.
+  /// A session over `machines` (>= 1) machines whose snapshots race with
+  /// `portfolio` (`threads` is forced to 1: a session lives on one serving
+  /// shard). The registry must outlive the session.
   explicit SessionEngine(
       int machines,
       const SolverRegistry& registry = SolverRegistry::default_registry(),
-      SessionOptions options = {});
+      PortfolioOptions portfolio = {});
+  SessionEngine(int machines, const SolverRegistry& registry,
+                const SessionOptions& options)
+      : SessionEngine(machines, registry, options.portfolio) {}
 
   /// Submits a job of `size` (>= 1) to the class named `class_name`
   /// (created on first use). Returns the session job id: a monotone
@@ -128,17 +81,10 @@ class SessionEngine {
   /// Total jobs ever submitted (== the next job id to be assigned).
   std::uint64_t submitted() const { return next_job_; }
 
-  /// The current schedule, repairing or re-solving only when the session
-  /// mutated since the last call (the delta classes are re-censused; clean
-  /// classes reuse their cached canonical vectors). The reference stays
-  /// valid until the next mutation.
+  /// The current schedule, re-materialized and re-raced only when the
+  /// session mutated since the last call. The reference stays valid until
+  /// the next mutation.
   const SessionSnapshot& snapshot();
-
-  /// Lifetime counters.
-  const SessionStats& stats() const { return stats_; }
-
-  /// The options this session was built with (after normalization).
-  const SessionOptions& options() const { return options_; }
 
  private:
   struct JobRec {
@@ -146,30 +92,19 @@ class SessionEngine {
     Time size = 0;
     bool alive = false;
   };
-  struct ClassRec {
-    std::string name;
-    std::vector<std::uint64_t> alive;    // session job ids, submission order
-    std::vector<std::uint64_t> by_size;  // alive by (size desc, id asc)
-    bool dirty = false;  // in the delta: by_size needs a re-census
-  };
-
-  void refresh();  // rebuild snapshot_ from the mutation delta
 
   int machines_ = 1;
-  const SolverRegistry* registry_;
-  SessionOptions options_;
   PortfolioSolver portfolio_;
-  ResultCache memo_;
 
   std::vector<JobRec> jobs_;
-  std::vector<ClassRec> classes_;
+  /// Per class (creation order): its alive session job ids, submission order.
+  std::vector<std::vector<std::uint64_t>> classes_;
   std::unordered_map<std::string, int> class_index_;
   std::uint64_t next_job_ = 0;
   std::size_t alive_ = 0;
   bool dirty_ = true;
 
   SessionSnapshot snapshot_;
-  SessionStats stats_;
 };
 
 }  // namespace msrs::engine

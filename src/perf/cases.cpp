@@ -993,85 +993,58 @@ std::vector<BenchRow> e14_obs(const Runner& runner) {
   return rows;
 }
 
-// --- E15: online sessions: incremental repair vs full re-solve -------------
+// --- E15: online sessions: snapshot races over churn traces ---------------
 
 std::vector<BenchRow> e15_session(const Runner& runner) {
   // One Poisson and one bursty on/off trace, snapshot after every mutation
-  // (snap=1: the serving worst case). The repair arm and the oracle arm
-  // (repair=false: every snapshot is a full portfolio re-solve) replay the
-  // identical trace; portfolio equivalence makes their final makespans
-  // equal by contract, and the counters pin the repair hit profile — any
-  // change to the memo or delta-census logic moves `repairs`/`fallbacks`
-  // and fails the baseline diff before it can regress latency.
+  // (snap=1: the serving worst case). Each snapshot materializes the alive
+  // jobs and races the portfolio; the counters pin the trace shape and
+  // that every snapshot's schedule is valid.
   constexpr const char* kSpecs[] = {
       "poisson:events=300,classes=6,m=4,max=50,cancel=0.4,snap=1,seed=5",
       "onoff:events=300,classes=5,m=3,max=40,cancel=0.45,snap=1,"
       "burst=8,blen=16,seed=6",
   };
+  engine::PortfolioOptions options;
+  options.budget_ms = 5;
   std::vector<BenchRow> rows;
   for (const char* text : kSpecs) {
     const std::optional<ChurnSpec> spec = parse_churn(text);
     if (!spec.has_value()) continue;  // unreachable: specs are literals
     const std::vector<ChurnEvent> trace = generate_churn(*spec);
-    double final_makespan[2] = {0.0, 0.0};
-    int arm = 0;
-    for (const bool repair : {true, false}) {
-      engine::SessionOptions options;
-      options.repair = repair;
-      options.portfolio.budget_ms = 5;
-      std::size_t mutations = 0, snapshots = 0, repairs = 0, fallbacks = 0;
-      bool all_valid = true;
-      BenchRow row;
-      row.timing = runner.measure([&] {
-        engine::SessionEngine session(
-            spec->machines, engine::SolverRegistry::default_registry(),
-            options);
-        mutations = 0;
-        all_valid = true;
-        for (const ChurnEvent& event : trace) {
-          switch (event.kind) {
-            case ChurnEvent::Kind::kSubmit:
-              session.submit("c" + std::to_string(event.cls), event.size);
-              ++mutations;
-              break;
-            case ChurnEvent::Kind::kCancel:
-              session.cancel(static_cast<std::uint64_t>(event.target));
-              ++mutations;
-              break;
-            case ChurnEvent::Kind::kSnapshot: {
-              const engine::SessionSnapshot& snap = session.snapshot();
-              all_valid =
-                  all_valid && (snap.jobs.empty() || snap.result.valid);
-              final_makespan[arm] = snap.result.makespan;
-              break;
-            }
-          }
-        }
-        snapshots = session.stats().snapshots;
-        repairs = session.stats().repairs;
-        fallbacks = session.stats().fallbacks;
-      });
-      row.name = std::string(arrival_kind_name(spec->kind)) + "/" +
-                 (repair ? "repair" : "resolve");
-      row.solver = "session";
-      row.jobs = static_cast<int>(mutations);
-      row.counters.emplace_back("mutations", static_cast<double>(mutations));
-      row.counters.emplace_back("snapshots", static_cast<double>(snapshots));
-      row.counters.emplace_back("repairs", static_cast<double>(repairs));
-      row.counters.emplace_back("fallbacks", static_cast<double>(fallbacks));
-      row.counters.emplace_back("all_valid", all_valid ? 1.0 : 0.0);
-      rows.push_back(std::move(row));
-      ++arm;
-    }
-    // The portfolio-equivalence contract, pinned into the baseline: both
-    // arms end the trace on the same makespan.
+    std::size_t mutations = 0, snapshots = 0;
+    bool all_valid = true;
     BenchRow row;
-    row.name = std::string(arrival_kind_name(spec->kind)) + "/equivalence";
+    row.timing = runner.measure([&] {
+      engine::SessionEngine session(
+          spec->machines, engine::SolverRegistry::default_registry(),
+          options);
+      mutations = 0;
+      snapshots = 0;
+      all_valid = true;
+      for (const ChurnEvent& event : trace) {
+        switch (event.kind) {
+          case ChurnEvent::Kind::kSubmit:
+            session.submit("c" + std::to_string(event.cls), event.size);
+            ++mutations;
+            break;
+          case ChurnEvent::Kind::kCancel:
+            session.cancel(static_cast<std::uint64_t>(event.target));
+            ++mutations;
+            break;
+          case ChurnEvent::Kind::kSnapshot:
+            all_valid = all_valid && session.snapshot().result.valid;
+            ++snapshots;
+            break;
+        }
+      }
+    });
+    row.name = arrival_kind_name(spec->kind);
     row.solver = "session";
-    row.counters.emplace_back(
-        "makespan_equal",
-        final_makespan[0] == final_makespan[1] ? 1.0 : 0.0);
-    row.counters.emplace_back("makespan", final_makespan[0]);
+    row.jobs = static_cast<int>(mutations);
+    row.counters.emplace_back("mutations", static_cast<double>(mutations));
+    row.counters.emplace_back("snapshots", static_cast<double>(snapshots));
+    row.counters.emplace_back("all_valid", all_valid ? 1.0 : 0.0);
     rows.push_back(std::move(row));
   }
   return rows;
@@ -1148,8 +1121,7 @@ BenchRegistry BenchRegistry::make_default() {
       "observability layer (docs/observability.md)", Tier::kQuick, e14_obs));
   registry.add(make_case(
       "e15_session",
-      "online sessions: incremental repair vs full re-solve over churn "
-      "traces",
+      "online sessions: snapshot races over churn traces",
       "online serving layer (docs/scenarios.md)", Tier::kQuick,
       e15_session));
   return registry;

@@ -135,10 +135,6 @@ std::string stats_response(const Json& id, const ServiceStats& stats,
                count_json(snapshot.counter_or("serve.session.cancels")));
   sessions.set("snapshots",
                count_json(snapshot.counter_or("serve.session.snapshots")));
-  sessions.set("repairs",
-               count_json(snapshot.counter_or("serve.session.repairs")));
-  sessions.set("fallbacks",
-               count_json(snapshot.counter_or("serve.session.fallbacks")));
   response.set("sessions", std::move(sessions));
 
   Json latency = Json::object();
@@ -200,8 +196,6 @@ Service::Service(ServiceOptions options,
   session_submits_c_ = &metrics_.counter("serve.session.submits");
   session_cancels_c_ = &metrics_.counter("serve.session.cancels");
   session_snapshots_c_ = &metrics_.counter("serve.session.snapshots");
-  session_repairs_c_ = &metrics_.counter("serve.session.repairs");
-  session_fallbacks_c_ = &metrics_.counter("serve.session.fallbacks");
   session_active_g_ = &metrics_.gauge("serve.session.active");
   uptime_g_ = &metrics_.gauge("serve.uptime_seconds");
   start_ = obs::TraceClock::now();
@@ -635,12 +629,10 @@ void Service::process_session(Shard& shard, Item& item) {
                       &item.trace);
         return;
       }
-      engine::SessionOptions session_options;
-      session_options.portfolio = shard.portfolio->options();
-      session_options.cache_capacity = options_.session_cache;
-      shard.sessions.emplace(item.session, std::make_unique<engine::SessionEngine>(
-                                               item.machines, *registry_,
-                                               session_options));
+      shard.sessions.emplace(item.session,
+                             std::make_unique<engine::SessionEngine>(
+                                 item.machines, *registry_,
+                                 shard.portfolio->options()));
       session_active_g_->set(
           static_cast<std::int64_t>(active_sessions_.load()));
       session_opened_c_->inc();
@@ -679,12 +671,8 @@ void Service::process_session(Shard& shard, Item& item) {
     case Op::kSnapshot: {
       if (found == shard.sessions.end()) return unknown_session();
       engine::SessionEngine& session = *found->second;
-      const engine::SessionStats before = session.stats();
       const engine::SessionSnapshot& snap = session.snapshot();
       session_snapshots_c_->inc();
-      session_repairs_c_->add(session.stats().repairs - before.repairs);
-      session_fallbacks_c_->add(session.stats().fallbacks -
-                                before.fallbacks);
       SnapshotBody body;
       body.session = item.session;
       body.jobs = session.jobs_alive();
@@ -695,7 +683,7 @@ void Service::process_session(Shard& shard, Item& item) {
       body.t_bound = static_cast<std::int64_t>(snap.result.t_bound);
       body.ratio = snap.result.ratio_vs_bound;
       body.valid = snap.result.valid;
-      body.source = engine::snapshot_source_name(snap.source);
+      body.source = body.jobs == 0 ? "empty" : "resolve";
       session_kind = obs::EventKind::kSessionSnapshot;
       session_value = static_cast<std::uint32_t>(body.jobs);
       response = snapshot_response(item.id, body);
@@ -727,7 +715,7 @@ void Service::process_session(Shard& shard, Item& item) {
                       static_cast<std::uint32_t>(response.size()));
   }
   // Session ops feed the same lifecycle histograms as solves ("solve"
-  // covers the session mutation/repair work); spans stay solve-only.
+  // covers the session mutation/snapshot work); spans stay solve-only.
   lat_admission_->record(obs::stage_us(item.trace.admit, item.trace.enqueue));
   lat_queue_->record(obs::stage_us(item.trace.enqueue, item.trace.dispatch));
   lat_solve_->record(

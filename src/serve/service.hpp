@@ -76,9 +76,6 @@ struct ServiceOptions {
   /// backpressure at the budget; reject admission sheds with `overloaded`.
   /// 0 disables the gate (sessions compete for the whole queue).
   std::size_t session_queue_budget = 64;
-  /// Per-session repair-memo bound, in canonical shapes
-  /// (engine/session.hpp; session-local by design — determinism).
-  std::size_t session_cache = 256;
   /// Request-lifecycle tracing: the sampled `--trace` JSONL span sink and
   /// the always-on slow-request log (obs/trace.hpp). An empty path only
   /// disables span emission; the slow log stays armed.
@@ -295,8 +292,6 @@ class Service {
   obs::Counter* session_submits_c_ = nullptr;
   obs::Counter* session_cancels_c_ = nullptr;
   obs::Counter* session_snapshots_c_ = nullptr;
-  obs::Counter* session_repairs_c_ = nullptr;
-  obs::Counter* session_fallbacks_c_ = nullptr;
   obs::Gauge* session_active_g_ = nullptr;
   std::atomic<std::size_t> active_sessions_{0};
   std::atomic<std::uint64_t> seq_{0};  // request sequence (trace sampling)

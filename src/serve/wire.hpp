@@ -86,7 +86,7 @@ enum class Op {
   kOpenSession,   ///< create a named mutable session (engine/session.hpp)
   kSubmitJob,     ///< session mutation: add a job to a class
   kCancelJob,     ///< session mutation: cancel a submitted job
-  kSnapshot,      ///< current session schedule (incremental repair path)
+  kSnapshot,      ///< current session schedule (a portfolio race)
   kCloseSession,  ///< drop a session and its state
   kDumpRecorder,  ///< merged flight-recorder dump (obs/flight_recorder.hpp)
 };
@@ -157,10 +157,10 @@ std::string cancel_response(const Json& id, std::string_view session,
                             std::uint64_t job);
 
 /// The body of a `snapshot` response: the session's current schedule
-/// summary plus repair provenance. Every field is a pure function of the
-/// session's mutation history (the session memo is session-local), so
-/// snapshot responses are byte-identical across shard counts and
-/// transports — the serving-layer invariant tests/test_session.cpp pins.
+/// summary. Every field is a pure function of the session's mutation
+/// history (a snapshot races the portfolio on the alive jobs), so snapshot
+/// responses are byte-identical across shard counts and transports — the
+/// serving-layer invariant tests/test_session.cpp pins.
 struct SnapshotBody {
   std::string session;   ///< session name (echoed)
   std::size_t jobs = 0;      ///< alive jobs
@@ -171,7 +171,7 @@ struct SnapshotBody {
   std::int64_t t_bound = 0;  ///< Lemma-9 bound of the current instance
   double ratio = 0.0;        ///< makespan / t_bound
   bool valid = false;        ///< schedule passed core/validate
-  std::string source;        ///< "repair" | "resolve" | "empty"
+  std::string source;        ///< "empty" (no alive job) | "resolve"
 };
 
 /// Renders a snapshot response line.

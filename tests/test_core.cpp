@@ -205,6 +205,13 @@ TEST(InstanceIo, DescriptiveErrorsForMalformedFiles) {
       {"msrs 1\nmachines 2\nclasses 1\nclass 2 5\n", "missing or not a number"},
       {"msrs 1\nmachines 2\nclasses 1\nclass 2 5 0\n", "job size 0 < 1"},
       {"msrs 1\nmachines 2\nclasses 1\nclass 2 5 -4\n", "job size -4 < 1"},
+      // Loads above kMaxLoad (2^56) would wrap p(J) or the census products.
+      {"msrs 1\nmachines 2\nclasses 2\nclass 2 9223372036854775000 5000\n"
+       "class 1 627\n",
+       "class 0: load exceeds the supported maximum"},
+      {"msrs 1\nmachines 2\nclasses 2\nclass 1 72057594037927936\n"
+       "class 1 1\n",
+       "total load p(J) exceeds the supported maximum"},
       {"msrs 1\nmachines 2\nclasses 1\nclass 1 5\nclass 1 3\n",
        "trailing garbage"},
   };

@@ -167,6 +167,35 @@ TEST(Portfolio, RegimeShortcutsToOnePerClassWhenMachinesCoverClasses) {
   EXPECT_DOUBLE_EQ(result.makespan, 10.0);  // max class load
 }
 
+// At most |C| machines are ever busy, so any m >= |C| must answer like
+// m = |C|: the Lemma-9 bound computed directly on the wider instance, and
+// the portfolio's bound, makespan and ratio even for an m no per-machine
+// table could hold.
+TEST(Portfolio, MachinesBeyondClassesChangeNothingOnAllFamilies) {
+  PortfolioSolver portfolio;
+  for (const Family family : kAllFamilies) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      Instance narrow = generate(family, 12, 4, seed);
+      narrow.set_machines(narrow.num_classes());  // m = |C|
+      const PortfolioResult expect = portfolio.solve(narrow);
+      ASSERT_TRUE(expect.valid) << family_name(family);
+      for (const int machines : {narrow.num_classes() + 3, 2000000000}) {
+        Instance wide = narrow;
+        wide.set_machines(machines);
+        const PortfolioResult got = portfolio.solve(wide);
+        ASSERT_TRUE(got.valid) << family_name(family) << " m=" << machines;
+        EXPECT_EQ(got.t_bound, expect.t_bound) << family_name(family);
+        EXPECT_EQ(got.makespan, expect.makespan) << family_name(family);
+        EXPECT_EQ(got.ratio_vs_bound, expect.ratio_vs_bound);
+        EXPECT_TRUE(is_valid(narrow, got.schedule));
+        if (machines < 1000)
+          EXPECT_EQ(three_halves_bound(wide), three_halves_bound(narrow))
+              << family_name(family) << " seed " << seed;
+      }
+    }
+  }
+}
+
 TEST(Portfolio, ExactWinsOnTinyInstances) {
   PortfolioSolver portfolio;
   const Instance instance = tiny_instance();

@@ -188,11 +188,30 @@ TEST(Service, MalformedLinesGetNamedErrorsAndServiceSurvives) {
       service.handle(R"({"op":"solve","instance":"msrs 9000"})");
   EXPECT_NE(bad_instance.find("\"error\":\"bad_instance\""),
             std::string::npos);
+  // Job sizes whose sum wraps int64 are refused, never answered ok.
+  const std::string overflow = service.handle(
+      R"({"op":"solve","instance":"msrs 1\nmachines 2\nclasses 2\n)"
+      R"(class 2 9223372036854775000 5000\nclass 1 627\n"})");
+  EXPECT_NE(overflow.find("\"error\":\"bad_instance\""), std::string::npos)
+      << overflow;
   // A nesting bomb is a named parse error, not a stack overflow.
   const std::string bomb = "{\"id\":1,\"op\":" + std::string(100000, '[');
   EXPECT_NE(service.handle(bomb).find("\"error\":\"parse_error\""),
             std::string::npos);
   // Still serving after every defect:
+  EXPECT_NE(service.handle(R"({"op":"ping"})").find("\"ok\":true"),
+            std::string::npos);
+}
+
+// A machine count far beyond the instance's classes must not size anything
+// by m: the race runs on min(m, |C|) machines and the service keeps going.
+TEST(Service, HugeMachineCountIsAnsweredAndServiceSurvives) {
+  Service service(small_service(2));
+  const std::string solve = service.handle(
+      R"({"op":"solve","instance":"msrs 1\nmachines 2000000000\nclasses 2\n)"
+      R"(class 3 957 589 376\nclass 1 627\n"})");
+  EXPECT_NE(solve.find("\"ok\":true"), std::string::npos) << solve;
+  EXPECT_NE(solve.find("\"valid\":true"), std::string::npos) << solve;
   EXPECT_NE(service.handle(R"({"op":"ping"})").find("\"ok\":true"),
             std::string::npos);
 }

@@ -1,6 +1,6 @@
 // Online sessions: the SessionEngine differential harness (>=1000 fuzzed
-// churn mutations, each snapshot pinned against an independent full
-// portfolio re-solve and a from-scratch canonical form), the wire session
+// churn mutations, each snapshot pinned against an independent model of the
+// alive jobs and an independent full portfolio re-solve), the wire session
 // lifecycle with named errors, snapshot byte-identity across shard counts
 // and across transports (stdio vs TCP), the serve.session.* telemetry
 // surface, and the per-session admission fairness gate.
@@ -11,10 +11,12 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/instance_io.hpp"
@@ -34,54 +36,93 @@ PortfolioOptions fast_portfolio() {
   return options;
 }
 
+// The alive jobs of a session, kept apart from SessionEngine: per class in
+// order of first submission, the (session id, size) of its alive jobs in
+// submission order.
+class AliveModel {
+ public:
+  void submit(const std::string& name, std::uint64_t id, Time size) {
+    if (index_.emplace(name, classes_.size()).second) classes_.emplace_back();
+    classes_[index_.at(name)].emplace_back(id, size);
+  }
+  void cancel(std::uint64_t id) {
+    for (auto& jobs : classes_)
+      for (auto it = jobs.begin(); it != jobs.end(); ++it)
+        if (it->first == id) {
+          jobs.erase(it);
+          return;
+        }
+  }
+  // The instance a snapshot must race on, and the session id of each job.
+  std::pair<Instance, std::vector<std::uint64_t>> materialize(
+      int machines) const {
+    Instance instance;
+    instance.set_machines(machines);
+    std::vector<std::uint64_t> ids;
+    for (const auto& jobs : classes_) {
+      if (jobs.empty()) continue;
+      const ClassId cls = instance.add_class();
+      for (const auto& [id, size] : jobs) {
+        instance.add_job(cls, size);
+        ids.push_back(id);
+      }
+    }
+    return {std::move(instance), std::move(ids)};
+  }
+
+ private:
+  std::map<std::string, std::size_t> index_;
+  std::vector<std::vector<std::pair<std::uint64_t, Time>>> classes_;
+};
+
 // Replays one churn trace through a SessionEngine, snapshotting after
-// EVERY mutation and pinning each snapshot against the two independent
-// oracles: a from-scratch canonical form (the incremental maintenance must
-// be exact) and a fresh full portfolio re-solve (the repair path must be
-// schedule-valid and makespan-equal). Returns the mutation count.
+// EVERY mutation and pinning each snapshot against two independent
+// oracles: the model's materialized instance (same classes, jobs and
+// order) and a fresh full portfolio re-solve (schedule-valid and
+// makespan-equal). Returns the mutation count.
 std::size_t replay_differential(const ChurnSpec& spec) {
-  SessionOptions options;
-  options.portfolio = fast_portfolio();
   SessionEngine session(spec.machines, SolverRegistry::default_registry(),
-                        options);
+                        fast_portfolio());
+  AliveModel model;
   PortfolioSolver oracle(SolverRegistry::default_registry(), fast_portfolio());
   std::size_t mutations = 0;
   for (const ChurnEvent& event : generate_churn(spec)) {
     if (event.kind == ChurnEvent::Kind::kSubmit) {
-      const std::uint64_t id =
-          session.submit("c" + std::to_string(event.cls), event.size);
+      const std::string name = "c" + std::to_string(event.cls);
+      const std::uint64_t id = session.submit(name, event.size);
       // Ids are a monotone counter: the trace's predicted target holds.
       EXPECT_EQ(id, static_cast<std::uint64_t>(event.target));
+      model.submit(name, id, event.size);
     } else if (event.kind == ChurnEvent::Kind::kCancel) {
       EXPECT_TRUE(session.cancel(static_cast<std::uint64_t>(event.target)))
           << "trace cancels only alive jobs";
+      model.cancel(static_cast<std::uint64_t>(event.target));
     } else {
       continue;  // the trace's own snapshots are subsumed: we snapshot below
     }
     ++mutations;
 
     const SessionSnapshot& snap = session.snapshot();
+    // Oracle 1: the snapshot races exactly the model's alive jobs.
+    const auto [expected, ids] = model.materialize(spec.machines);
+    EXPECT_EQ(to_text(snap.instance), to_text(expected))
+        << "mutation " << mutations;
+    EXPECT_EQ(snap.jobs, ids) << "mutation " << mutations;
     if (session.jobs_alive() == 0) {
-      EXPECT_EQ(snap.source, SnapshotSource::kEmpty);
+      EXPECT_EQ(snap.result.solver, "empty");
       EXPECT_EQ(snap.result.makespan, 0.0);
       EXPECT_TRUE(snap.result.valid);
       continue;
     }
-    // Oracle 1: the incrementally maintained canonical form must equal the
-    // from-scratch one (key, shape, and the job order of the bijection).
-    const CanonicalForm fresh = canonical_form(snap.instance);
-    EXPECT_EQ(snap.form.key, fresh.key) << "mutation " << mutations;
-    EXPECT_TRUE(snap.form.same_shape(fresh)) << "mutation " << mutations;
-    EXPECT_EQ(snap.form.order, fresh.order) << "mutation " << mutations;
-    // Oracle 2: the repair path's schedule is valid on the materialized
-    // instance and makespan-equal to an independent full re-solve.
+    // Oracle 2: the schedule is valid on the materialized instance and
+    // makespan-equal to an independent full re-solve.
     EXPECT_TRUE(snap.result.valid);
     EXPECT_TRUE(validate(snap.instance, snap.result.schedule).ok())
         << "mutation " << mutations;
-    const PortfolioResult full = oracle.solve(snap.instance);
+    const PortfolioResult full = oracle.solve(expected);
     EXPECT_TRUE(full.valid);
     EXPECT_EQ(snap.result.makespan, full.makespan)
-        << "mutation " << mutations << " (" << snapshot_source_name(snap.source)
+        << "mutation " << mutations << " (" << snap.result.solver
         << " vs oracle " << full.solver << ")";
     EXPECT_EQ(snap.result.t_bound, full.t_bound) << "mutation " << mutations;
   }
@@ -96,7 +137,7 @@ TEST(SessionDifferential, PoissonChurnPinnedAgainstFullResolve) {
     spec.events = 250;
     spec.classes = 4;
     spec.machines = 4;
-    spec.max_size = 20;  // few distinct sizes: shapes repeat, the memo hits
+    spec.max_size = 20;  // few distinct sizes: shapes repeat
     spec.cancel = 0.4;
     spec.seed = seed;
     mutations += replay_differential(spec);
@@ -122,44 +163,9 @@ TEST(SessionDifferential, BurstyOnOffChurnPinnedAgainstFullResolve) {
   EXPECT_GE(mutations, 500u);
 }
 
-TEST(SessionEngine, CancelUndoingSubmitIsRepairedFromTheMemo) {
-  SessionOptions options;
-  options.portfolio = fast_portfolio();
-  SessionEngine session(3, SolverRegistry::default_registry(), options);
-  session.submit("a", 5);
-  session.submit("a", 7);
-  const double makespan = session.snapshot().result.makespan;  // resolve
-  EXPECT_EQ(session.stats().fallbacks, 1u);
-  const std::uint64_t extra = session.submit("b", 9);
-  (void)session.snapshot();  // new shape: another full resolve
-  EXPECT_EQ(session.stats().fallbacks, 2u);
-  EXPECT_TRUE(session.cancel(extra));  // back to the first shape
-  const SessionSnapshot& repaired = session.snapshot();
-  EXPECT_EQ(repaired.source, SnapshotSource::kRepair);
-  EXPECT_EQ(session.stats().repairs, 1u);
-  EXPECT_EQ(session.stats().fallbacks, 2u);  // no third race
-  EXPECT_EQ(repaired.result.makespan, makespan);
-  EXPECT_TRUE(validate(repaired.instance, repaired.result.schedule).ok());
-}
-
-TEST(SessionEngine, OracleModeNeverRepairs) {
-  SessionOptions options;
-  options.portfolio = fast_portfolio();
-  options.repair = false;
-  SessionEngine session(2, SolverRegistry::default_registry(), options);
-  const std::uint64_t job = session.submit("a", 4);
-  (void)session.snapshot();
-  EXPECT_TRUE(session.cancel(job));
-  session.submit("a", 4);  // identical shape again
-  (void)session.snapshot();
-  EXPECT_EQ(session.stats().fallbacks, 2u);  // re-solved, never remapped
-  EXPECT_EQ(session.stats().repairs, 0u);
-}
-
 TEST(SessionEngine, EmptySessionsAndCancelRulesAreExact) {
   SessionEngine session(4);
   const SessionSnapshot& empty = session.snapshot();
-  EXPECT_EQ(empty.source, SnapshotSource::kEmpty);
   EXPECT_EQ(empty.result.solver, "empty");
   EXPECT_TRUE(empty.result.valid);
   EXPECT_EQ(session.jobs_alive(), 0u);
@@ -173,7 +179,7 @@ TEST(SessionEngine, EmptySessionsAndCancelRulesAreExact) {
   EXPECT_EQ(session.jobs_alive(), 1u);
   EXPECT_EQ(session.classes_alive(), 1u);  // class "x" is empty now
   EXPECT_TRUE(session.cancel(1));
-  EXPECT_EQ(session.snapshot().source, SnapshotSource::kEmpty);
+  EXPECT_EQ(session.snapshot().result.solver, "empty");
 }
 
 }  // namespace
@@ -291,31 +297,65 @@ TEST(SessionService, SessionLimitIsNamedAndReleasedOnClose) {
             std::string::npos);
 }
 
-TEST(SessionService, SnapshotCarriesRepairProvenance) {
+// Strips the leading `"id":N,` member so responses to different requests
+// compare by body.
+std::string body_of(const std::string& response) {
+  const std::size_t comma = response.find(',');
+  return comma == std::string::npos ? response : response.substr(comma);
+}
+
+TEST(SessionService, SnapshotAfterUndoingCancelIsByteIdentical) {
   Service service(session_service(1));
-  (void)service.handle(R"({"op":"open_session","session":"s","machines":3})");
-  const std::string empty = service.handle(R"({"op":"snapshot","session":"s"})");
+  (void)service.handle(
+      R"({"id":1,"op":"open_session","session":"s","machines":3})");
+  const std::string empty =
+      service.handle(R"({"id":2,"op":"snapshot","session":"s"})");
   EXPECT_NE(empty.find("\"solver\":\"empty\""), std::string::npos);
   EXPECT_NE(empty.find("\"source\":\"empty\""), std::string::npos);
   EXPECT_NE(empty.find("\"valid\":true"), std::string::npos);
   (void)service.handle(
-      R"({"op":"submit_job","session":"s","class":"a","size":6})");
-  EXPECT_NE(service.handle(R"({"op":"snapshot","session":"s"})")
-                .find("\"source\":\"resolve\""),
-            std::string::npos);
+      R"({"id":3,"op":"submit_job","session":"s","class":"a","size":6})");
   (void)service.handle(
-      R"({"op":"submit_job","session":"s","class":"b","size":4})");
-  (void)service.handle(R"({"op":"snapshot","session":"s"})");
-  // Cancel undoes the submit: the shape was seen before, so the session
-  // repairs from its memo instead of racing the portfolio again.
+      R"({"id":4,"op":"submit_job","session":"s","class":"c","size":5})");
+  const std::string before =
+      service.handle(R"({"id":5,"op":"snapshot","session":"s"})");
+  EXPECT_NE(before.find("\"source\":\"resolve\""), std::string::npos);
+  (void)service.handle(
+      R"({"id":6,"op":"submit_job","session":"s","class":"b","size":4})");
+  const std::string grown =
+      service.handle(R"({"id":7,"op":"snapshot","session":"s"})");
+  EXPECT_NE(grown.find("\"jobs\":3"), std::string::npos);
+  // The cancel undoes the submit: the same alive jobs, the same bytes.
+  (void)service.handle(R"({"id":8,"op":"cancel_job","session":"s","job":2})");
+  const std::string after =
+      service.handle(R"({"id":9,"op":"snapshot","session":"s"})");
+  EXPECT_NE(after.find("\"id\":9"), std::string::npos);
+  EXPECT_EQ(body_of(after), body_of(before));
+  // Cancelling everything is the empty snapshot again.
+  (void)service.handle(R"({"op":"cancel_job","session":"s","job":0})");
   (void)service.handle(R"({"op":"cancel_job","session":"s","job":1})");
-  EXPECT_NE(service.handle(R"({"op":"snapshot","session":"s"})")
-                .find("\"source\":\"repair\""),
-            std::string::npos);
+  EXPECT_EQ(body_of(service.handle(R"({"id":2,"op":"snapshot","session":"s"})")),
+            body_of(empty));
+}
 
-  const obs::MetricsSnapshot snapshot = service.metrics_snapshot();
-  EXPECT_EQ(snapshot.counter_or("serve.session.repairs"), 2u);  // empty+remap
-  EXPECT_EQ(snapshot.counter_or("serve.session.fallbacks"), 2u);
+// A machine pool far beyond the session's classes must not size anything
+// by m: the snapshot races on min(m, |C|) machines, echoes the session's
+// own m, and the service keeps answering.
+TEST(SessionService, HugeMachineCountIsAnsweredAndServiceSurvives) {
+  Service service(session_service(1));
+  (void)service.handle(
+      R"({"op":"open_session","session":"s","machines":2000000000})");
+  (void)service.handle(
+      R"({"op":"submit_job","session":"s","class":"a","size":7})");
+  (void)service.handle(
+      R"({"op":"submit_job","session":"s","class":"b","size":3})");
+  const std::string snap = service.handle(R"({"op":"snapshot","session":"s"})");
+  EXPECT_NE(snap.find("\"ok\":true"), std::string::npos) << snap;
+  EXPECT_NE(snap.find("\"valid\":true"), std::string::npos) << snap;
+  EXPECT_NE(snap.find("\"machines\":2000000000"), std::string::npos) << snap;
+  EXPECT_NE(snap.find("\"makespan\":7"), std::string::npos) << snap;
+  EXPECT_NE(service.handle(R"({"op":"ping"})").find("\"ok\":true"),
+            std::string::npos);
 }
 
 // ---------------- telemetry surface ----------------
@@ -336,7 +376,7 @@ TEST(SessionService, StatsOpAndMetricsCoverSessions) {
   const Json* sessions = stats->find("sessions");
   ASSERT_NE(sessions, nullptr);
   for (const char* key : {"active", "opened", "closed", "submits", "cancels",
-                          "snapshots", "repairs", "fallbacks"})
+                          "snapshots"})
     ASSERT_NE(sessions->find(key), nullptr) << key;
   EXPECT_EQ(sessions->find("active")->as_number(), 1.0);
   EXPECT_EQ(sessions->find("opened")->as_number(), 1.0);
@@ -383,9 +423,9 @@ TEST(SessionServe, SnapshotBytesIdenticalAcrossShardCounts) {
   ASSERT_FALSE(input.empty());
   const std::string one = serve_all(input, 1);
   EXPECT_FALSE(one.empty());
-  // The session memo is session-local and routing is by session name, so
-  // the full response stream — including repair/resolve provenance — is a
-  // pure function of the mutation history, not of the shard layout.
+  // Routing is by session name and a snapshot races only the session's
+  // own alive jobs, so the full response stream is a pure function of the
+  // mutation history, not of the shard layout.
   EXPECT_EQ(one, serve_all(input, 2));
   EXPECT_EQ(one, serve_all(input, 4));
   EXPECT_NE(one.find("\"source\":"), std::string::npos);
